@@ -193,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="experiment fan-out worker count (default: all cores)",
+        help="pool size for --executor thread/process (default: all cores)",
     )
     rep.add_argument(
         "--executor",
         choices=("auto", "sequential", "thread", "process"),
         default="auto",
-        help="how to fan experiments out (auto = process pool when possible)",
+        help="auto/sequential run in-process; thread/process use a pool of --jobs workers",
     )
     rep.add_argument(
         "--backend",
@@ -284,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="experiment fan-out worker count (default: all cores)",
+        help="pool size for --executor thread/process (default: all cores)",
     )
     trc.add_argument(
         "--executor",
         choices=("auto", "sequential", "thread", "process"),
         default="auto",
-        help="how to fan experiments out (auto = process pool when possible)",
+        help="auto/sequential run in-process; thread/process use a pool of --jobs workers",
     )
     trc.add_argument(
         "--out",

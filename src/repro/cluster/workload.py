@@ -46,6 +46,18 @@ def diurnal_intensity(times) -> np.ndarray:
     return intensity / ((5.0 + 2.0 * 0.4) / 7.0)
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """The CDF ``Generator.choice(n, p=p)`` builds: ``int(cdf.searchsorted(
+    rng.random(), side="right"))`` draws the index it would, from one uniform."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+_GPU_COUNTS = (1, 1, 1, 2, 4, 8)
+_GPU_COUNT_CDF = _choice_cdf([0.45, 0.2, 0.1, 0.15, 0.07, 0.03])
+
+
 @dataclass(frozen=True, slots=True)
 class SubmittedJob:
     """A job as submitted (before scheduling)."""
@@ -200,7 +212,7 @@ class WorkloadModel:
     ) -> None:
         self.params = params or WorkloadParams()
         self.cluster = cluster or DEFAULT_CLUSTER
-        self._user_weight_cache: dict[str, np.ndarray] = {}
+        self._user_cdf_cache: dict[str, np.ndarray] = {}
         for required in ("cpu", "gpu", "serial"):
             if required not in self.cluster:
                 raise ValueError(f"cluster must define a {required!r} partition")
@@ -262,19 +274,18 @@ class WorkloadModel:
         idx = rng.choice(len(names), size=n, p=weights)
         return np.array(names, dtype=object)[idx]
 
-    def _user_weights(self, field_name: str) -> np.ndarray:
-        cached = self._user_weight_cache.get(field_name)
+    def _user_cdf(self, field_name: str) -> np.ndarray:
+        cached = self._user_cdf_cache.get(field_name)
         if cached is None:
             # Zipf-ish activity: user of rank k gets weight 1/k.
             mix = self.params.field_mixes[field_name]
             weights = 1.0 / (np.arange(mix.n_users, dtype=float) + 1.0)
-            cached = weights / weights.sum()
-            self._user_weight_cache[field_name] = cached
+            cached = _choice_cdf(weights / weights.sum())
+            self._user_cdf_cache[field_name] = cached
         return cached
 
     def _user_for(self, field_name: str, rng: np.random.Generator) -> str:
-        weights = self._user_weights(field_name)
-        k = rng.choice(weights.size, p=weights)
+        k = int(self._user_cdf(field_name).searchsorted(rng.random(), side="right"))
         return f"{field_name[:4]}{k:03d}"
 
     def _cpu_job_shape(
@@ -299,7 +310,7 @@ class WorkloadModel:
 
     def _gpu_job_shape(self, rng: np.random.Generator) -> tuple[str, int, int]:
         gpu_part = self.cluster["gpu"]
-        gpus = int(rng.choice([1, 1, 1, 2, 4, 8], p=[0.45, 0.2, 0.1, 0.15, 0.07, 0.03]))
+        gpus = _GPU_COUNTS[int(_GPU_COUNT_CDF.searchsorted(rng.random(), side="right"))]
         gpus = min(gpus, gpu_part.total_gpus)
         cores = min(gpus * 8, gpu_part.total_cores)
         return "gpu", cores, gpus
@@ -308,7 +319,7 @@ class WorkloadModel:
         mix = self.params.field_mixes[field_name]
         cap = self.cluster[partition].max_walltime
         runtime = rng.lognormal(np.log(mix.mean_runtime_hours * 3600.0), 1.2)
-        return float(np.clip(runtime, 60.0, cap * 0.98))
+        return min(max(runtime, 60.0), cap * 0.98)
 
     # -- public API ---------------------------------------------------------
 

@@ -6,10 +6,10 @@ function's code fingerprint, its parameters, and the cache keys of
 everything upstream, so editing a late analysis step never re-simulates the
 cluster. The ablation bench (`bench_ablation_cache`) measures exactly this.
 
-Steps form a dependency DAG and independent steps execute concurrently:
-``Pipeline.run`` topologically schedules the graph onto a
-``concurrent.futures`` pool (processes when every step function pickles,
-threads otherwise; ``max_workers`` defaults to ``os.cpu_count()``). The
+Steps form a dependency DAG, run in-process by default (``executor="auto"``);
+``"thread"`` or ``"process"`` topologically schedules independent steps onto
+a ``concurrent.futures`` pool (``max_workers`` defaults to ``os.cpu_count()``).
+The
 parallel schedule is observationally identical to the sequential one — same
 context dict, same cache keys, same artifacts — which the golden-artifact
 and property-based suites enforce. Cache writes are atomic (temp file +
@@ -929,14 +929,6 @@ class Pipeline:
 
     # -- executor selection ---------------------------------------------------
 
-    def _picklable(self) -> bool:
-        try:
-            for step in self.steps:
-                pickle.dumps((step.fn, dict(step.params)))
-        except Exception:
-            return False
-        return True
-
     def _resolve_executor(self, executor: str, max_workers: int | None) -> tuple[str, int]:
         if executor != "auto" and executor not in _BACKENDS:
             raise PipelineError(
@@ -955,10 +947,8 @@ class Pipeline:
             if max_workers is None:
                 workers = min(4, os.cpu_count() or 1)
             return executor, workers
-        if executor == "sequential" or workers == 1 or len(self.steps) == 1:
+        if executor in ("auto", "sequential") or workers == 1 or len(self.steps) == 1:
             return "sequential", 1
-        if executor == "auto":
-            return ("process" if self._picklable() else "thread"), workers
         return executor, workers
 
     # -- execution ------------------------------------------------------------
@@ -983,15 +973,16 @@ class Pipeline:
         force:
             Bypass cache reads (values are still written back).
         max_workers:
-            Pool size; defaults to ``os.cpu_count()``. ``1`` forces the
-            sequential fast path (except for registered backends such as
-            ``dist``, which own their worker model).
+            Size of a ``"thread"``/``"process"`` pool; defaults to
+            ``os.cpu_count()``. ``1`` forces the sequential fast path
+            (except for registered backends such as ``dist``, which own
+            their worker model).
         executor:
-            ``"auto"`` (processes when every step pickles, else threads),
-            ``"sequential"``, ``"thread"``, ``"process"``, ``"dist"``
-            (coordinator/worker fleet over the shared cache directory —
-            see :mod:`repro.dist`), or any name added via
-            :func:`register_backend`.
+            ``"auto"`` (in-process: the DAG's critical path is serial, so
+            a pool only adds pickling), ``"sequential"`` (the same),
+            ``"thread"``, ``"process"``, ``"dist"`` (coordinator/worker
+            fleet over the shared cache directory — see :mod:`repro.dist`),
+            or any name added via :func:`register_backend`.
         on_error:
             ``"raise"`` (default) propagates the first terminal step
             failure, as before. ``"keep_going"`` isolates it: the failed

@@ -128,9 +128,9 @@ def run_cached_study(
 ) -> Study:
     """Convenience: build and run the pipeline, returning the Study.
 
-    The survey and workload stages are independent, so on a multi-core
-    machine a cold run overlaps cohort generation with the workload
-    simulation; ``max_workers``/``executor`` forward to
+    The survey and workload stages are independent, so an explicit
+    ``executor="thread"`` or ``"process"`` overlaps cohort generation with
+    the workload simulation; ``max_workers``/``executor`` forward to
     :meth:`~repro.core.pipeline.Pipeline.run`.
     """
     pipeline = study_pipeline(cache=cache, **kwargs)

@@ -37,6 +37,7 @@ what ``--resume`` needs.
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -101,11 +102,13 @@ def run_coordinator(pipeline: "Pipeline", ctx: "BackendContext") -> dict[str, An
             "separate processes and the cache directory is the only channel "
             "between them"
         )
-    if not pipeline._picklable():
+    try:
+        pickle.dumps([(step.fn, dict(step.params)) for step in pipeline.steps])
+    except Exception:
         raise PipelineError(
             "executor='dist' requires every step function and param to pickle "
             "(workers load the pipeline from the run spec)"
-        )
+        ) from None
     chaos = ctx.fault_plan
     if chaos is not None and not hasattr(chaos, "bind"):
         raise PipelineError(

@@ -121,8 +121,8 @@ def build_report(
 ) -> str:
     """Render the full study report as markdown.
 
-    Artifact regeneration fans out over the experiment executor
-    (``max_workers`` defaults to ``os.cpu_count()``); the document itself
+    Artifact regeneration rides the experiment executor (inline by default;
+    ``max_workers`` sizes a ``"thread"``/``"process"`` pool); the document itself
     is assembled in registry order, so the rendered markdown is identical
     for every executor mode. Pass a list as ``metrics_out`` to receive the
     executor's :class:`~repro.core.metrics.ExecutorMetrics`.

@@ -8,7 +8,6 @@ and EXPERIMENTS.md. Ids follow DESIGN.md: T1-T8 tables, F1-F8 figures.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -522,21 +521,15 @@ def _run_experiment_chunk(
     return out
 
 
-def _resolve_fanout(executor: str, max_workers: int | None, study: Study, n: int) -> tuple[str, int]:
+def _resolve_fanout(executor: str, max_workers: int | None, n: int) -> tuple[str, int]:
     if executor not in ("auto", "sequential", "thread", "process"):
         raise ValueError(f"unknown executor {executor!r}")
     workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     workers = min(workers, n)
-    if executor == "sequential" or workers <= 1:
+    if executor in ("auto", "sequential") or workers <= 1:
         return "sequential", 1
-    if executor == "auto":
-        try:
-            pickle.dumps(study, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return "thread", workers
-        return "process", workers
     return executor, workers
 
 
@@ -549,9 +542,10 @@ def run_all_experiments_with_metrics(
     """Regenerate every artifact plus the executor's timing record.
 
     Every registered experiment is a pure function of the study, so the
-    whole registry fans out over a process pool (``executor="process"`` /
-    ``"auto"``), a thread pool (``"thread"``), or runs inline
-    (``"sequential"`` or ``max_workers=1``). Output is identical across
+    whole registry runs inline (``executor="auto"``/``"sequential"`` or
+    ``max_workers=1``; shipping the study to workers costs more than the
+    experiments do) or fans out over a ``max_workers`` process pool
+    (``"process"``) or thread pool (``"thread"``). Output is identical across
     modes — the golden-artifact suite enforces byte-equality — and the
     returned dict is always keyed in sorted-id order.
 
@@ -564,7 +558,7 @@ def run_all_experiments_with_metrics(
     if on_error not in ("raise", "keep_going"):
         raise ValueError(f"unknown on_error {on_error!r}")
     ids = sorted(EXPERIMENTS)
-    mode, workers = _resolve_fanout(executor, max_workers, study, len(ids))
+    mode, workers = _resolve_fanout(executor, max_workers, len(ids))
     metrics = ExecutorMetrics(mode=mode, max_workers=workers)
     t0 = time.perf_counter()
     artifacts: dict[str, Artifact] = {}

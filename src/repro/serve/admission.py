@@ -42,7 +42,7 @@ class ServeResult:
     """One answered artifact request.
 
     ``reason`` explains any non-fresh status (``"deadline"``,
-    ``"queue_full"``, ``"quarantined"``, ``"read_only"``,
+    ``"queue_full"``, ``"quarantined"``, ``"pinned_feed"``, ``"read_only"``,
     ``"refresh_failed"``, ``"never_built"``). ``behind`` counts WAL rows
     accepted after the served artifact's snapshot — the staleness bound,
     in data terms rather than wall-clock.

@@ -135,7 +135,7 @@ class RefreshResult:
     """Outcome of one :meth:`StudyService.refresh` call."""
 
     ran: bool
-    reason: str  # refreshed | clean | waiting_for_data | read_only | draining | quarantined
+    reason: str  # refreshed | clean | pinned_feed | waiting_for_data | read_only | draining | quarantined
     seconds: float = 0.0
     report: RunReport | None = None
     failed: tuple[str, ...] = ()
@@ -424,7 +424,8 @@ class StudyService:
             ]
             if not force and chunks == self._committed and not missing:
                 self._write_status()
-                return RefreshResult(ran=False, reason="clean")
+                reason = "pinned_feed" if pinned else "clean"  # pinned: newer rows wait
+                return RefreshResult(ran=False, reason=reason, pinned=pinned)
 
             self._cycle = cycle = cycle + 1
             t0 = time.perf_counter()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.pipeline as pipeline_module
 from repro.core import ArtifactCache, Pipeline, PipelineStep
 from repro.core.pipeline import PipelineError
 
@@ -93,8 +94,10 @@ class TestParallelMatchesSequential:
         # spawn a pool per example, which is needlessly slow).
         steps = _make_dag(5, edge_bits=0b1011011, salts=(3, 7))
         seq = Pipeline(steps, ArtifactCache()).run(max_workers=1)
-        par = Pipeline(steps, ArtifactCache()).run(max_workers=2, executor="process")
+        pool = Pipeline(steps, ArtifactCache())
+        par = pool.run(max_workers=2, executor="process")
         assert seq == par
+        assert pool.last_metrics.mode == "process"
 
 
 class TestScheduling:
@@ -203,6 +206,25 @@ class TestSingleFlight:
         for t in threads:
             t.join()
         assert len(computes) == 1  # three pipelines rode the first's flight
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("executor='auto' must not start a process pool")
+
+
+class TestAutoExecutor:
+    """``executor="auto"`` (the default) runs in-process, whatever
+    ``max_workers`` says; only an explicit executor name starts a pool."""
+
+    @pytest.mark.parametrize("max_workers", [None, 4])
+    def test_auto_runs_sequentially(self, monkeypatch, max_workers):
+        monkeypatch.setattr(pipeline_module, "ProcessPoolExecutor", _refuse_pool)
+        steps = _make_dag(4, edge_bits=0b000111, salts=(1,))
+        pipe = Pipeline(steps, ArtifactCache())
+        out = pipe.run(max_workers=max_workers)
+        assert pipe.last_metrics.mode == "sequential"
+        assert pipe.last_metrics.max_workers == 1
+        assert out == Pipeline(steps, ArtifactCache()).run(executor="sequential")
 
 
 class TestMetrics:

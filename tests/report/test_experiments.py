@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.report.experiments as experiments_module
 from repro.report import EXPERIMENTS, FigureSeries, Table, run_all_experiments, run_experiment
+from repro.report.experiments import run_all_experiments_with_metrics
 
 
 class TestRegistry:
@@ -23,6 +25,25 @@ class TestRegistry:
     def test_unknown_id(self, study):
         with pytest.raises(KeyError, match="T99"):
             run_experiment("T99", study)
+
+
+def _refuse_pool(*args, **kwargs):
+    raise AssertionError("executor='auto' must not start a process pool")
+
+
+class TestFanOutExecutor:
+    def test_auto_runs_inline(self, study, monkeypatch):
+        monkeypatch.setattr(experiments_module, "ProcessPoolExecutor", _refuse_pool)
+        artifacts, metrics = run_all_experiments_with_metrics(study)
+        assert metrics.mode == "sequential" and metrics.max_workers == 1
+        assert list(artifacts) == sorted(EXPERIMENTS)
+
+    def test_explicit_process_still_pools(self, study):
+        artifacts, metrics = run_all_experiments_with_metrics(
+            study, max_workers=2, executor="process"
+        )
+        assert metrics.mode == "process" and metrics.max_workers == 2
+        assert list(artifacts) == sorted(EXPERIMENTS)
 
 
 @pytest.fixture(scope="module")

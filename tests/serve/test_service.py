@@ -195,6 +195,35 @@ class TestBreaker:
         assert svc._committed["sacct"] == committed["sacct"]  # frontier held back
         svc.close()
 
+    def test_answers_behind_a_pinned_feed_never_claim_clean(
+        self, tmp_path, study_lines
+    ):
+        """A feed poisoned by a row re-sent in a later ``sacct`` dump (its
+        job id is already ingested) is quarantined and pinned; answers that
+        are rows behind must name the pin, not report the cycle as clean."""
+        responses, sacct = study_lines
+        header, rows = sacct[0], sacct[1:]
+        svc = make_service(
+            tmp_path,
+            (responses, [header, *rows[:-5]]),
+            breaker_threshold=1,
+            breaker_cooldown=8,
+        )
+        svc.refresh()
+        svc.ingest("sacct", [rows[0]], batch="dup")
+        assert "telemetry" in svc.refresh().failed
+        answers = []
+        for i, row in enumerate(rows[-5:]):
+            svc.ingest("sacct", [row], batch=f"s{i + 1}")
+            answers.append(svc.request("X1"))
+        assert all(a.behind > 0 for a in answers)
+        assert [a.behind for a in answers] == sorted(a.behind for a in answers)
+        assert {(a.status, a.reason) for a in answers} == {("stale", "pinned_feed")}
+        result = svc.refresh()
+        assert not result.ran and result.reason == "pinned_feed"
+        assert result.pinned == ("telemetry",) and result.degraded
+        svc.close()
+
     def test_breaker_state_survives_restart(self, tmp_path, study_lines):
         svc = make_service(tmp_path, study_lines, breaker_threshold=1)
         svc.refresh()
