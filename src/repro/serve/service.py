@@ -72,7 +72,7 @@ from repro.obs.slo import evaluate_slo, load_slo
 from repro.report.experiments import EXPERIMENTS
 from repro.serve.admission import AdmissionController, QueueFull, ServeResult
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.pipeline import INGEST_STEPS, serve_pipeline
+from repro.serve.pipeline import INGEST_STEPS, release_feed_memos, serve_pipeline
 from repro.serve.wal import KINDS, IngestReceipt, IngestWAL, WALUnavailable, parse_chunk
 
 __all__ = [
@@ -760,9 +760,11 @@ class StudyService:
             self._write_status()
 
     def close(self) -> None:
-        """Release file handles without draining semantics (tests)."""
+        """Release file handles and this WAL's in-process read memos
+        without draining semantics (tests)."""
         with self._lock:
             self.wal.close()
+            release_feed_memos(self.wal_dir)
 
 
 def read_status(root: str | Path) -> dict[str, Any] | None:

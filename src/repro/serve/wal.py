@@ -30,7 +30,17 @@ participates in cache keys — appending response rows changes only the
 :func:`snapshot_rows` is the read side: a step materializes exactly the
 first N rows its chunk names (never rows appended after the key was
 computed) and verifies the digest, so a cached artifact can never have
-been built from different bytes than its key claims.
+been built from different bytes than its key claims. It keeps one
+read-only reader per WAL directory in the process and catches it up:
+a reader remembers a *consumed frontier* (per segment: inode, the byte
+offset past the last good record, and the size and mtime it last saw),
+so each call reads and decodes only the records written since the last
+one. Opening a WAL is the same loop run from an empty frontier. When the
+frontier no longer describes the disk, or the digest does not match,
+the reader is dropped and the log replayed from scratch once. (A rewrite
+of consumed bytes that also grows the segment, or lands on the mtime
+tick of the reader's last look, goes unseen; the rows served are then
+still the accepted rows the token names.)
 
 Failure containment mirrors the journal: any ``OSError`` on the write
 path (``ENOSPC`` above all) disables the WAL and raises
@@ -46,9 +56,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "WALError",
@@ -57,6 +68,8 @@ __all__ = [
     "IngestWAL",
     "KINDS",
     "snapshot_rows",
+    "release_reader",
+    "digest_rows",
 ]
 
 #: The two ingest feeds. Everything else is rejected at the API boundary.
@@ -168,12 +181,15 @@ class IngestWAL:
         self._rows: dict[str, list[str]] = {kind: [] for kind in KINDS}
         self._digests = {kind: hashlib.sha256() for kind in KINDS}
         self._batches: dict[tuple[str, str], int] = {}
+        #: The consumed frontier, oldest segment first: segment name ->
+        #: (inode, offset past the last good record, bytes seen, mtime_ns).
+        self._frontier: dict[str, tuple[int, int, int, int]] = {}
         self._seq = 0
         self._seg_index = 0
         self._size = 0
         self._fd: int | None = None
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._replay(heal=not read_only)
+        self._catch_up(heal=not read_only)
         if not read_only:
             try:
                 if self._seg_index == 0:
@@ -203,12 +219,43 @@ class IngestWAL:
             key = (kind, batch)
             self._batches[key] = max(self._batches.get(key, 0), off + 1)
 
-    def _replay(self, heal: bool) -> None:
+    def _catch_up(self, heal: bool) -> bool:
+        """Absorb every record past the consumed frontier.
+
+        Opening runs this from an empty frontier; :func:`snapshot_rows`
+        runs it again on a read-only instance to pick up records appended
+        since (a writer's in-memory state is always current, so only
+        readers catch up). Returns False, absorbing nothing more, when the
+        frontier no longer describes the disk: a segment vanished or was
+        replaced (new inode), shrank below the consumed offset, or changed
+        without growing. The caller then replays with a new instance.
+        """
         segments = _segments(self.directory)
+        known = list(self._frontier)
+        if [p.name for p in segments[: len(known)]] != known:
+            return False
         for n, segment in enumerate(segments):
+            mark = self._frontier.get(segment.name)
+            start = 0
             try:
-                raw = segment.read_bytes()
+                with open(segment, "rb") as fh:
+                    st = os.fstat(fh.fileno())
+                    if mark is not None:
+                        ino, start, seen, mtime = mark
+                        unchanged = st.st_size == seen
+                        if (
+                            st.st_ino != ino
+                            or st.st_size < start
+                            or (unchanged and st.st_mtime_ns != mtime)
+                        ):
+                            return False
+                        if unchanged:
+                            continue
+                        fh.seek(start)
+                    raw = fh.read()
             except OSError:
+                if mark is not None:
+                    return False
                 continue
             records, good_len, bad = _parse_segment(raw)
             torn_tail = good_len < len(raw)
@@ -217,13 +264,16 @@ class IngestWAL:
             # not a crash artifact.
             if torn_tail and heal and n == len(segments) - 1:
                 try:
-                    os.truncate(segment, good_len)
+                    os.truncate(segment, start + good_len)
                     self.healed_bytes += len(raw) - good_len
                 except OSError:
                     bad += 1
             elif torn_tail:
                 bad += 1
             self.poison_lines += max(bad - (1 if torn_tail else 0), 0)
+            self._frontier[segment.name] = (
+                st.st_ino, start + good_len, start + len(raw), st.st_mtime_ns
+            )
             for record in records:
                 self._absorb(record)
         if segments:
@@ -231,6 +281,7 @@ class IngestWAL:
             self._seg_index = int(
                 last[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)]
             )
+        return True
 
     # -- writing --------------------------------------------------------------
 
@@ -362,7 +413,7 @@ class IngestWAL:
         if kind not in KINDS:
             raise WALError(f"unknown ingest kind {kind!r}; expected one of {KINDS}")
         rows = self._rows[kind]
-        return list(rows if count is None else rows[:count])
+        return rows[:count]
 
     def chunk(self, kind: str) -> str:
         """The feed's input-chunk token: ``"<count>:<sha256 prefix>"``.
@@ -380,17 +431,15 @@ class IngestWAL:
 
     def stats(self) -> dict:
         """Probe-friendly summary (row counts, seq frontier, segments)."""
+        segments = _segments(self.directory)
         try:
-            n_segments = len(_segments(self.directory))
-            total_bytes = sum(
-                p.stat().st_size for p in _segments(self.directory)
-            )
+            total_bytes = sum(p.stat().st_size for p in segments)
         except OSError:
-            n_segments, total_bytes = 0, 0
+            total_bytes = 0
         return {
             "rows": {kind: len(self._rows[kind]) for kind in KINDS},
             "next_seq": self._seq,
-            "segments": n_segments,
+            "segments": len(segments),
             "bytes": total_bytes,
             "healed_bytes": self.healed_bytes,
             "poison_lines": self.poison_lines,
@@ -444,29 +493,80 @@ def parse_chunk(chunk: str) -> tuple[int, str]:
     return count, digest
 
 
+def digest_rows(rows: Sequence[str], start: Any = None) -> Any:
+    """The sha256 state behind chunk tokens over ``rows``, continuing a
+    copy of ``start`` (a state over earlier rows) when given."""
+    h = hashlib.sha256() if start is None else start.copy()
+    for row in rows:
+        h.update(row.encode("utf-8") + b"\n")
+    return h
+
+
+#: One read-only reader per resolved WAL directory, caught up on every
+#: :func:`snapshot_rows` call. Forked children start without any.
+_readers: dict[Path, IngestWAL] = {}
+_readers_lock = threading.Lock()
+
+
+def _forget_all_readers() -> None:
+    global _readers_lock
+    _readers.clear()
+    _readers_lock = threading.Lock()  # a parent thread may have held it
+
+
+os.register_at_fork(after_in_child=_forget_all_readers)
+
+
+def release_reader(directory: str | Path) -> None:
+    """Drop the cached :func:`snapshot_rows` reader of one WAL directory."""
+    with _readers_lock:
+        _readers.pop(Path(directory).resolve(), None)
+
+
+def _mismatch(wal: IngestWAL, kind: str, chunk: str) -> str | None:
+    """Why ``wal``'s first N rows are not the ones ``chunk`` names."""
+    count, digest = parse_chunk(chunk)
+    held = wal.count(kind)
+    if held < count:
+        return f"WAL {wal.directory} holds {held} {kind} row(s); chunk names {count}"
+    if held == count:
+        actual = wal._digests[kind].hexdigest()
+    else:
+        actual = digest_rows(wal._rows[kind][:count]).hexdigest()
+    if actual[: len(digest)] != digest:
+        return (
+            f"WAL {wal.directory} {kind} rows do not match chunk {chunk!r} "
+            "(log truncated or rewritten since the key was computed)"
+        )
+    return None
+
+
 def snapshot_rows(directory: str | Path, kind: str, chunk: str) -> list[str]:
     """Materialize exactly the rows a chunk token names, verified.
 
-    Re-opens the WAL read-only (no healing writes — safe from pipeline
-    workers while the owning service lives), takes the first N accepted
-    rows of ``kind``, and checks their digest against the token. A
-    mismatch means the log no longer contains the bytes the cache key was
-    computed from (truncation, corruption, a foreign directory) and is an
-    error, never a silent wrong answer.
+    Catches up this process's read-only reader of the directory (no
+    healing writes — safe from pipeline workers while the owning service
+    lives), so only records written since the last call are read and
+    decoded. It then takes the first N accepted rows of ``kind`` and
+    checks their digest against the token. If the reader's frontier no
+    longer matches the disk, or the digest does not match, the reader is
+    dropped and the log replayed from scratch once; a mismatch that
+    survives the replay means the log no longer contains the bytes the
+    cache key was computed from (truncation, corruption, a foreign
+    directory) and is an error, never a silent wrong answer.
     """
-    count, digest = parse_chunk(chunk)
-    wal = IngestWAL(directory, read_only=True)
-    rows = wal.rows(kind, count)
-    if len(rows) < count:
-        raise WALError(
-            f"WAL {directory} holds {len(rows)} {kind} row(s); chunk names {count}"
-        )
-    h = hashlib.sha256()
-    for row in rows:
-        h.update(row.encode("utf-8") + b"\n")
-    if h.hexdigest()[: len(digest)] != digest:
-        raise WALError(
-            f"WAL {directory} {kind} rows do not match chunk {chunk!r} "
-            "(log truncated or rewritten since the key was computed)"
-        )
-    return rows
+    count, _ = parse_chunk(chunk)
+    key = Path(directory).resolve()
+    with _readers_lock:
+        reader = _readers.pop(key, None)
+        if reader is not None and (
+            not reader._catch_up(heal=False) or _mismatch(reader, kind, chunk)
+        ):
+            reader = None
+        if reader is None:
+            reader = IngestWAL(directory, read_only=True)
+            problem = _mismatch(reader, kind, chunk)
+            if problem is not None:
+                raise WALError(problem)
+        _readers[key] = reader
+        return reader.rows(kind, count)

@@ -301,10 +301,38 @@ class TestObservability:
         result = svc.refresh()
         assert not result.failed  # tolerant readers absorb the poison
         status = svc.status()
-        assert status["skipped_rows"].get("read_responses_jsonl", 0) >= 2
+        assert status["skipped_rows"].get("read_responses_jsonl", 0) == 2
         prom = svc.tracer.to_prometheus()
         assert "repro_skipped_rows_total" in prom
         assert 'reader="read_responses_jsonl"' in prom
+        svc.close()
+
+    def test_each_poison_row_is_counted_once_across_refreshes(
+        self, tmp_path, study_lines
+    ):
+        responses, sacct = study_lines
+        svc = make_service(
+            tmp_path,
+            (responses[:-3] + PoisonRows(count=1).rows("responses"),
+             sacct[:-3] + PoisonRows(count=1).rows("sacct")),
+        )
+        svc.refresh()
+        expected = {"read_responses_jsonl": 1, "parse_sacct": 1}
+        assert svc.status()["skipped_rows"] == expected
+        # Three refreshes of each feed, each append carrying one poison row.
+        for i in range(3):
+            for kind, lines, reader in (
+                ("sacct", sacct, "parse_sacct"),
+                ("responses", responses, "read_responses_jsonl"),
+            ):
+                poison = PoisonRows(count=1, seed=i + 1).rows(kind)
+                svc.ingest(kind, [lines[-3 + i]] + poison, batch=f"{kind}-{i}")
+                assert svc.refresh().ran
+                expected[reader] += 1
+                assert svc.status()["skipped_rows"] == expected
+        prom = svc.tracer.to_prometheus()
+        assert 'repro_skipped_rows_total{reader="parse_sacct"} 4' in prom
+        assert 'repro_skipped_rows_total{reader="read_responses_jsonl"} 4' in prom
         svc.close()
 
     def test_clock_skew_never_goes_negative(self, tmp_path, study_lines):

@@ -1,14 +1,18 @@
 """Unit tests for the durable ingest WAL (append, dedupe, heal, rotate)."""
 
 import json
+import shutil
+import time
 
 import pytest
 
+import repro.serve.wal as wal_module
 from repro.serve.wal import (
     IngestWAL,
     WALError,
     WALUnavailable,
     parse_chunk,
+    release_reader,
     snapshot_rows,
 )
 
@@ -118,6 +122,80 @@ class TestChunks:
             count, _ = parse_chunk(wal.chunk("responses"))
         with pytest.raises(WALError, match="do not match chunk"):
             snapshot_rows(tmp_path, "responses", f"{count}:{'0' * 16}")
+
+
+class TestSnapshotReader:
+    """``snapshot_rows`` catches up one cached reader per directory."""
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        records = []
+        real = wal_module._parse_segment
+
+        def counting(raw):
+            out = real(raw)
+            records.extend(out[0])
+            return out
+
+        monkeypatch.setattr(wal_module, "_parse_segment", counting)
+        return records
+
+    def test_only_records_written_since_the_last_call_are_decoded(
+        self, tmp_path, decoded
+    ):
+        with IngestWAL(tmp_path, rotate_bytes=128) as wal:
+            wal.append("responses", ROWS[:3])
+            wal.append("sacct", ROWS[:2])
+            assert snapshot_rows(tmp_path, "responses", wal.chunk("responses")) == ROWS[:3]
+            decoded.clear()
+            wal.append("responses", ROWS[3:])  # rotates into new segments
+            chunk = wal.chunk("responses")
+            assert snapshot_rows(tmp_path, "responses", chunk) == ROWS
+            assert [r["row"] for r in decoded] == ROWS[3:]
+            decoded.clear()
+            assert snapshot_rows(tmp_path, "responses", chunk) == ROWS
+            assert snapshot_rows(tmp_path, "sacct", wal.chunk("sacct")) == ROWS[:2]
+            assert decoded == []
+        release_reader(tmp_path)
+
+    def test_a_rewrite_in_place_at_the_same_length_still_raises(self, tmp_path):
+        with IngestWAL(tmp_path) as wal:
+            wal.append("responses", ROWS)
+            chunk = wal.chunk("responses")
+        assert snapshot_rows(tmp_path, "responses", chunk) == ROWS
+        segment = sorted(tmp_path.glob("seg-*.wal"))[-1]
+        raw = segment.read_bytes()
+        # The reader trusts a segment whose size and mtime it has seen;
+        # a later rewrite lands on a later mtime tick, as it would in use.
+        time.sleep(0.05)
+        segment.write_bytes(raw.replace(b'3}"', b'9}"'))
+        assert segment.stat().st_size == len(raw)
+        with pytest.raises(WALError, match="do not match chunk"):
+            snapshot_rows(tmp_path, "responses", chunk)
+        release_reader(tmp_path)
+
+    def test_a_recreated_directory_is_replayed_from_scratch(self, tmp_path):
+        with IngestWAL(tmp_path) as wal:
+            wal.append("responses", ROWS[:4])
+            assert snapshot_rows(tmp_path, "responses", wal.chunk("responses")) == ROWS[:4]
+        shutil.rmtree(tmp_path)
+        with IngestWAL(tmp_path) as wal:
+            wal.append("responses", ROWS[::-1])
+            chunk = wal.chunk("responses")
+        assert snapshot_rows(tmp_path, "responses", chunk) == ROWS[::-1]
+        release_reader(tmp_path)
+
+    def test_a_shorter_log_than_the_chunk_raises(self, tmp_path):
+        with IngestWAL(tmp_path) as wal:
+            wal.append("responses", ROWS)
+            chunk = wal.chunk("responses")
+        assert snapshot_rows(tmp_path, "responses", chunk) == ROWS
+        segment = sorted(tmp_path.glob("seg-*.wal"))[-1]
+        raw = segment.read_bytes()
+        segment.write_bytes(raw[: raw.index(b"\n") + 1])  # truncated to one record
+        with pytest.raises(WALError, match="holds 1 responses row"):
+            snapshot_rows(tmp_path, "responses", chunk)
+        release_reader(tmp_path)
 
 
 class TestRecovery:
